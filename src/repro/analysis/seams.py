@@ -32,12 +32,12 @@ This analyzer keeps the seam honest:
   own clock would silently diverge between simulated and live runs
   and could perturb the fig5a determinism pin.
 * **shard-isolation** — shard *policy* modules (everything in
-  :mod:`repro.shard` except the composition roots ``fabric`` and
-  ``live``) importing :mod:`repro.core` or :mod:`repro.gcs`, whether
-  absolutely or relatively.  The router, the transaction procedures,
-  and the coordinator are pure data-plane policy reusable against any
-  replication group implementation; only the two composition roots may
-  wire them to actual engines and GCS daemons.
+  :mod:`repro.shard` except the composition root ``fabric``) importing
+  :mod:`repro.core` or :mod:`repro.gcs`, whether absolutely or
+  relatively.  The router, the transaction procedures, and the
+  coordinator are pure data-plane policy reusable against any
+  replication group implementation; only the composition root may wire
+  them to actual engines and GCS daemons.
 
 Modules under the packages in :data:`SEAM_EXEMPT_PACKAGES` (the runtime
 adapters themselves, operational tools, and this analysis package) are
@@ -80,7 +80,7 @@ _FRAMING_MODULES = frozenset({"struct"})
 _CODEC_MODULE = ("repro", "net", "codec")
 
 #: Shard-package modules allowed to compose with the engine layers.
-_SHARD_COMPOSITION_ROOTS = frozenset({"fabric", "live"})
+_SHARD_COMPOSITION_ROOTS = frozenset({"fabric"})
 
 #: repro subpackages the shard policy modules must not reach into.
 _SHARD_FORBIDDEN_PACKAGES = frozenset({"core", "gcs"})
@@ -116,7 +116,7 @@ class SeamEnforcer:
 
     def in_shard_scope(self, path: Path) -> bool:
         """Shard isolation covers the shard package's policy modules —
-        everything but the composition roots."""
+        everything but the composition root."""
         if subpackage_of(path) != "shard":
             return False
         if path.name == "__init__.py":
@@ -229,9 +229,8 @@ class SeamEnforcer:
         return Finding(
             rule=RULE_SHARD_ISOLATION, path=path, line=line,
             message=(f"shard policy module imports {module!r}; only the "
-                     f"composition roots (repro.shard.fabric, "
-                     f"repro.shard.live) may touch the engine and GCS "
-                     f"layers"),
+                     f"composition root (repro.shard.fabric) may touch "
+                     f"the engine and GCS layers"),
             analyzer=ANALYZER)
 
     def _flight_finding(self, line: int, path: str,

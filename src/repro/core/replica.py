@@ -48,9 +48,6 @@ class _ReplicaHooks(EngineHooks):
     def on_green(self, action: Action, position: int, result: Any) -> None:
         self.replica._on_green(action, position, result)
 
-    def on_red(self, action: Action) -> None:
-        self.replica._on_red(action)
-
     def on_state_change(self, old: EngineState, new: EngineState) -> None:
         for listener in self.replica._state_listeners:
             listener(old, new)
@@ -147,7 +144,6 @@ class Replica:
         self.procedures: Dict[str, Any] = {}
         self._pending: Dict[ActionId, Completion] = {}
         self._green_listeners: List[Callable[[Action, int, Any], None]] = []
-        self._red_listeners: List[Callable[[Action], None]] = []
         self._state_listeners: List[
             Callable[[EngineState, EngineState], None]] = []
         self._checkpoint = Timer(sim, self._do_checkpoint,
@@ -270,16 +266,9 @@ class Replica:
         for listener in self._green_listeners:
             listener(action, position, result)
 
-    def _on_red(self, action: Action) -> None:
-        for listener in self._red_listeners:
-            listener(action)
-
     def add_green_listener(self, listener: Callable[[Action, int, Any],
                                                     None]) -> None:
         self._green_listeners.append(listener)
-
-    def add_red_listener(self, listener: Callable[[Action], None]) -> None:
-        self._red_listeners.append(listener)
 
     def add_state_listener(self, listener: Callable[
             [EngineState, EngineState], None]) -> None:

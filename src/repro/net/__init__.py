@@ -10,7 +10,7 @@ from .latency import (NetworkProfile, lan_profile,
                       lossless_instant_profile, wan_profile)
 from .message import Datagram
 from .network import Network
-from .topology import Topology, TopologyError
+from .topology import Topology, TopologyError, complete_partition
 
 # NOTE: repro.net.codec is intentionally *not* imported here — it
 # depends on repro.gcs (message types), which depends back on this
@@ -25,6 +25,7 @@ __all__ = [
     "NetworkProfile",
     "Topology",
     "TopologyError",
+    "complete_partition",
     "WireBatchConfig",
     "WireBatcher",
     "lan_profile",

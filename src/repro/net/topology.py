@@ -17,6 +17,31 @@ class TopologyError(Exception):
     """Raised for malformed topology mutations."""
 
 
+def complete_partition(nodes: Sequence[int],
+                       groups: Sequence[Iterable[int]]) -> List[List[int]]:
+    """``groups`` plus one more group holding every node they leave out.
+
+    The partition rule of every deployment, simulated or live, one shard
+    or many: a node that is unknown or named in two groups is an error,
+    and the nodes named in no group stay connected to each other, so a
+    caller can cut a minority away without listing everyone else.
+    """
+    known = set(nodes)
+    full = [list(group) for group in groups]
+    seen: Set[int] = set()
+    for group in full:
+        for n in group:
+            if n not in known:
+                raise TopologyError(f"unknown node {n}")
+            if n in seen:
+                raise TopologyError(f"node {n} in two groups")
+            seen.add(n)
+    rest = [n for n in nodes if n not in seen]
+    if rest:
+        full.append(rest)
+    return full
+
+
 @final
 class Topology:
     """Partitionable set of nodes.
@@ -102,19 +127,11 @@ class Topology:
         Every node must appear in exactly one group.  Liveness is
         unaffected.
         """
-        seen: Set[int] = set()
-        for group in groups:
-            for n in group:
-                if n not in self._component_of:
-                    raise TopologyError(f"unknown node {n}")
-                if n in seen:
-                    raise TopologyError(f"node {n} in two groups")
-                seen.add(n)
-        if seen != set(self.nodes):
-            missing = set(self.nodes) - seen
+        full = complete_partition(self.nodes, groups)
+        if len(full) > len(groups):
             raise TopologyError(f"nodes not assigned to any group: "
-                                f"{sorted(missing)}")
-        for group in groups:
+                                f"{full[-1]}")
+        for group in full:
             comp = self._next_component
             self._next_component += 1
             for n in group:

@@ -18,11 +18,11 @@ live (wall-clock, asyncio)    :class:`AsyncioRuntime` +
 a real three-process deployment with it.
 """
 
+from ..sim import SimRuntime
 from .asyncio_runtime import AsyncioHandle, AsyncioRuntime
 from .base import Handle, Runtime, Transport
 from .cluster import (LiveCluster, LiveClusterTimeout, live_disk_profile,
                       live_gcs_settings, udp_cluster)
-from .sim_runtime import SimRuntime
 from .transport import (AsyncioTransport, MemoryTransport, PartitionFilter,
                         loopback_addresses)
 

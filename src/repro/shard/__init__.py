@@ -13,15 +13,15 @@ riding entirely on the single-shard machinery the paper proves correct.
 Layering (enforced by the ``shard-isolation`` seam rule): the policy
 modules — :mod:`router <repro.shard.router>`, :mod:`txn
 <repro.shard.txn>`, :mod:`coordinator <repro.shard.coordinator>` —
-never import the engine or GCS internals; only the composition roots
-:mod:`fabric <repro.shard.fabric>` (simulated) and :mod:`live
-<repro.shard.live>` (asyncio/UDP) touch :mod:`repro.core` and
+never import the engine or GCS internals; only the composition root
+:mod:`fabric <repro.shard.fabric>` (one :class:`Fabric`, built on the
+simulator by :class:`ShardFabric` or on asyncio/UDP by
+:class:`LiveShardFabric`) touches :mod:`repro.core` and
 :mod:`repro.runtime`.
 """
 
 from .coordinator import TxnCoordinator
-from .fabric import ShardFabric
-from .live import LiveShardFabric
+from .fabric import Fabric, LiveShardFabric, ShardFabric
 from .router import (SHARD_STRIDE, KeyRangeRouter, RouterError, global_id,
                      local_id, shard_of, shard_server_ids, statement_key)
 from .txn import (ABORT, COMMIT, TXN_DECIDE, TXN_FINISH, TXN_KEY,
@@ -33,6 +33,7 @@ from .txn import (ABORT, COMMIT, TXN_DECIDE, TXN_FINISH, TXN_KEY,
 __all__ = [
     "ABORT",
     "COMMIT",
+    "Fabric",
     "KeyRangeRouter",
     "LiveShardFabric",
     "RouterError",

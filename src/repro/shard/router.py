@@ -8,9 +8,8 @@ per-shard fragments.
 
 This module is pure data-plane policy: it never touches engines, GCS
 daemons, or runtimes (the ``shard-isolation`` seam rule enforces
-that).  The composition roots (:mod:`repro.shard.fabric`,
-:mod:`repro.shard.live`) wire its decisions to actual replication
-groups.
+that).  The composition root (:mod:`repro.shard.fabric`) wires its
+decisions to actual replication groups.
 
 Node id namespace
 -----------------

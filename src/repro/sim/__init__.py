@@ -7,6 +7,7 @@ streams, and structured tracing that every other layer builds on.
 from .kernel import EventHandle, SimulationError, Simulator
 from .process import Actor, ServiceQueue, Timer
 from .rng import RandomStreams
+from .runtime import SimRuntime
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "EventHandle",
     "RandomStreams",
     "SimulationError",
+    "SimRuntime",
     "ServiceQueue",
     "Simulator",
     "Timer",

@@ -14,8 +14,9 @@ command line): the same steps then execute against a
 :class:`~repro.runtime.LiveCluster` in wall-clock time.  Crash,
 recover, join, and leave steps are simulator-only (the live in-process
 harness has no process supervisor); everything else — submit, run,
-partition, heal, converged/key checks — behaves identically, which is
-the point of the Runtime/Transport seam.
+partition, heal, and every check — behaves identically, which is the
+point of the Runtime/Transport seam.  One :class:`ScenarioRunner`
+interprets the steps for every target.
 
 Scenario format::
 
@@ -39,10 +40,13 @@ Scenario format::
 ``check`` kinds: ``converged``, ``prefix``, ``single_primary``,
 ``primary_is`` (with ``members``), ``key`` (with ``node``, ``key``,
 ``value``), ``all_primary`` (every running replica back in RegPrim),
-``completions`` (with ``at_least``).
+``completions`` (with ``at_least``).  A ``partition`` need not name
+every node: the nodes no group names stay together in one more group,
+on every runtime (:func:`~repro.net.complete_partition`).
 
-Optional top-level keys tune the cluster build — all plain data, so a
-shrunk fuzzer repro pins its exact timers and policy:
+Optional top-level keys tune a simulated build (cluster or fabric) —
+all plain data, so a shrunk fuzzer repro pins its exact timers and
+policy; live runs keep their wall-clock defaults:
 
 * ``"gcs"`` — keyword overrides for :class:`~repro.gcs.GcsSettings`;
 * ``"disk"`` — keyword overrides for
@@ -84,8 +88,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional
 
 from ..core import ReplicaCluster
 from ..obs import Observability
@@ -97,7 +101,7 @@ class ScenarioError(Exception):
 
 def _cluster_kwargs(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Resolve the optional ``gcs``/``disk``/``quorum`` spec keys into
-    :class:`~repro.core.ReplicaCluster` constructor arguments."""
+    simulated cluster or fabric constructor arguments."""
     kwargs: Dict[str, Any] = {}
     if "gcs" in spec:
         from ..gcs import GcsSettings
@@ -136,120 +140,237 @@ class ScenarioReport:
     events: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "steps_executed": self.steps_executed,
-            "submissions": self.submissions,
-            "completions": self.completions,
-            "checks_passed": self.checks_passed,
-            "final_states": self.final_states,
-            "final_green_counts": self.final_green_counts,
-            "events": self.events,
-        }
+        return asdict(self)
+
+
+#: The ops each target runs; any other op raises ScenarioError.
+_TARGET_OPS: Dict[str, FrozenSet[str]] = {
+    "cluster": frozenset({"submit", "run", "partition", "heal", "crash",
+                          "recover", "join", "leave", "check"}),
+    # The live in-process harness has no process supervisor.
+    "live": frozenset({"submit", "run", "partition", "heal", "check"}),
+    "fabric": frozenset({"submit", "txn", "run", "partition", "heal",
+                         "crash", "recover", "recover_txns", "check"}),
+}
+
+_CLUSTER_CHECKS = frozenset({"converged", "prefix", "single_primary",
+                             "primary_is", "key", "all_primary",
+                             "completions"})
+
+#: The check kinds each target runs.
+_TARGET_CHECKS: Dict[str, FrozenSet[str]] = {
+    "cluster": _CLUSTER_CHECKS,
+    "live": _CLUSTER_CHECKS,
+    "fabric": frozenset({"converged", "key", "txns"}),
+}
+
+_TARGET_NAMES = {"cluster": "a simulated cluster",
+                 "live": "the asyncio runtime",
+                 "fabric": "a sharded scenario"}
+
+#: Seconds each fault op lets pass afterwards unless the step says.
+_SETTLE = {"partition": 1.0, "heal": 2.0, "crash": 1.0, "recover": 2.0,
+           "join": 5.0, "leave": 2.0, "recover_txns": 2.0}
 
 
 class ScenarioRunner:
-    """Executes one scenario spec against a fresh cluster."""
+    """Executes one scenario spec against a fresh deployment.
+
+    The spec picks the target: a simulated
+    :class:`~repro.core.ReplicaCluster` by default, a
+    :class:`~repro.shard.ShardFabric` when it has ``"shards"``, a
+    :class:`~repro.runtime.LiveCluster` when its ``"runtime"`` is
+    ``"asyncio"``.  One step interpreter drives all three; they differ
+    only in the ops and checks they support and in how time passes
+    (``run_for`` on the simulator, awaited on asyncio).
+    """
 
     def __init__(self, spec: Dict[str, Any],
                  observability: Optional[Observability] = None):
         self.spec = spec
         self.report = ScenarioReport()
         self.obs = observability
-        self.cluster = ReplicaCluster(
-            n=int(spec.get("replicas", 3)),
-            seed=int(spec.get("seed", 0)),
-            trace=(observability is not None
-                   and observability.flight_hub is not None),
-            observability=observability,
-            **_cluster_kwargs(spec))
+        runtime = spec.get("runtime", "sim")
+        if runtime not in ("sim", "asyncio"):
+            raise ScenarioError(f"unknown runtime {runtime!r}")
+        if "shards" in spec:
+            if runtime != "sim":
+                raise ScenarioError(
+                    "sharded scenarios are simulator-only; use "
+                    "examples/live_cluster.py --shards for live runs")
+            self.target = "fabric"
+        else:
+            self.target = "cluster" if runtime == "sim" else "live"
         self._completions = 0
+        self.outcomes: Dict[str, int] = {"commit": 0, "abort": 0}
+        self.deployment: Any = None
+        if self.target != "live":
+            self.deployment = self._build_sim()
+
+    def _build_sim(self) -> Any:
+        spec = self.spec
+        common: Dict[str, Any] = dict(
+            seed=int(spec.get("seed", 0)),
+            trace=(self.obs is not None
+                   and self.obs.flight_hub is not None),
+            observability=self.obs, **_cluster_kwargs(spec))
+        if self.target == "fabric":
+            from ..shard import ShardFabric
+            return ShardFabric(
+                num_shards=int(spec.get("shards", 2)),
+                replicas_per_shard=int(spec.get("replicas", 3)), **common)
+        return ReplicaCluster(n=int(spec.get("replicas", 3)), **common)
 
     # ------------------------------------------------------------------
     def run(self) -> ScenarioReport:
-        self.cluster.start_all(settle=float(self.spec.get("settle", 2.0)))
-        for step in self.spec.get("steps", []):
-            self._apply(step)
-            self.report.steps_executed += 1
+        if self.target == "live":
+            return asyncio.run(self._run_live())
+        self.deployment.start_all(settle=float(self.spec.get("settle", 2.0)))
+        for seconds in self._steps():
+            self.deployment.run_for(seconds)
+        return self._finish()
+
+    async def _run_live(self) -> ScenarioReport:
+        from ..core.state_machine import EngineState
+        from ..runtime import LiveCluster
+        n = int(self.spec.get("replicas", 3))
+        self.deployment = LiveCluster(list(range(1, n + 1)),
+                                      observability=self.obs)
+        try:
+            self.deployment.start_all()
+            settle = float(self.spec.get("settle", 2.0))
+            await self.deployment.wait_all_engine_state(
+                EngineState.REG_PRIM, timeout=max(10.0, settle * 5))
+            for seconds in self._steps():
+                await self.deployment.run_for(seconds)
+            return self._finish()
+        finally:
+            self.deployment.shutdown()
+
+    def _finish(self) -> ScenarioReport:
         self.report.completions = self._completions
-        self.report.final_states = self.cluster.states()
-        self.report.final_green_counts = {
-            n: r.green_count for n, r in self.cluster.replicas.items()
-            if r.running}
+        if self.target == "fabric":
+            for states in self.deployment.states().values():
+                self.report.final_states.update(states)
+            self.report.final_green_counts = {
+                shard: self.deployment.green_count(shard)
+                for shard in sorted(self.deployment.clusters)}
+        else:
+            self.report.final_states = self.deployment.states()
+            self.report.final_green_counts = \
+                self.deployment.green_counts()
         return self.report
 
     # ------------------------------------------------------------------
-    def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
+    def _steps(self) -> Iterator[float]:
+        """Interpret the steps in order, yielding every span of time
+        the scenario lets pass; the caller advances its runtime."""
+        for step in self.spec.get("steps", []):
+            op = step.get("op")
+            if op not in _TARGET_OPS[self.target]:
+                raise ScenarioError(
+                    f"op {op!r} is not supported in "
+                    f"{_TARGET_NAMES[self.target]}")
+            message = self._apply(op, step)
+            if op == "run":
+                yield float(step.get("seconds", 1.0))
+            elif op in _SETTLE:
+                yield float(step.get("settle", _SETTLE[op]))
+            if message:
+                self._log(message)
+            self.report.steps_executed += 1
+
+    def _apply(self, op: str, step: Dict[str, Any]) -> str:
+        """Perform one op; returns the line to log once it settled."""
+        deployment = self.deployment
+        if op in ("submit", "txn") and self.target == "fabric":
+            update = step["update"]
+            self.report.submissions += 1
+
+            def done(_txn_id: str, outcome: str) -> None:
+                self._completions += 1
+                self._count_outcome(outcome)
+
+            txn_id = deployment.submit(update, done)
+            return f"submit {txn_id}: {update}"
         if op == "submit":
             node = int(step["node"])
             update = tuple(step["update"])
             self.report.submissions += 1
 
-            def complete(_a, _p, _r):
+            def complete(_a: Any, _p: Any, _r: Any) -> None:
                 self._completions += 1
 
-            self.cluster.replicas[node].submit(update,
-                                               on_complete=complete)
-            self._log(f"submit at {node}: {update}")
-        elif op == "run":
-            self.cluster.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
+            deployment.submit(node, update, on_complete=complete)
+            return f"submit at {node}: {update}"
+        if op == "partition":
             groups = [list(map(int, g)) for g in step["groups"]]
-            self.cluster.partition(*groups)
-            self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            self.cluster.heal()
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "crash":
-            self.cluster.crash(int(step["node"]))
-            self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"crash {step['node']}")
-        elif op == "recover":
-            self.cluster.recover(int(step["node"]))
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover {step['node']}")
-        elif op == "join":
-            self.cluster.add_replica(int(step["node"]),
-                                     peer=int(step["peer"]))
-            self.cluster.run_for(float(step.get("settle", 5.0)))
-            self._log(f"join {step['node']} via {step['peer']}")
-        elif op == "leave":
-            self.cluster.replicas[int(step["node"])].leave()
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log(f"leave {step['node']}")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown op {op!r}")
+            deployment.partition(*groups)
+            return f"partition {groups}"
+        if op == "heal":
+            deployment.heal()
+            return "heal"
+        if op in ("crash", "recover"):
+            getattr(deployment, op)(int(step["node"]))
+            return f"{op} {step['node']}"
+        if op == "join":
+            deployment.add_replica(int(step["node"]),
+                                   peer=int(step["peer"]))
+            return f"join {step['node']} via {step['peer']}"
+        if op == "leave":
+            deployment.replicas[int(step["node"])].leave()
+            return f"leave {step['node']}"
+        if op == "recover_txns":
+            if not deployment.coordinator.alive:
+                home = step.get("home")
+                deployment.new_coordinator(
+                    home=int(home) if home is not None else None)
+            swept = deployment.recover_transactions(
+                lambda _txn, outcome: self._count_outcome(outcome))
+            return f"recover_txns swept {swept}"
+        if op == "check":
+            return self._check(step)
+        return ""
 
-    def _check(self, step: Dict[str, Any]) -> None:
+    def _count_outcome(self, outcome: str) -> None:
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+
+    def _check(self, step: Dict[str, Any]) -> str:
         kind = step.get("kind")
+        if kind not in _TARGET_CHECKS[self.target]:
+            raise ScenarioError(
+                f"check kind {kind!r} not supported in "
+                f"{_TARGET_NAMES[self.target]}")
+        deployment = self.deployment
         try:
             if kind == "converged":
-                self.cluster.assert_converged()
+                deployment.assert_converged()
             elif kind == "prefix":
-                self.cluster.assert_prefix_consistent()
+                deployment.assert_prefix_consistent()
             elif kind == "single_primary":
-                self.cluster.assert_single_primary()
+                deployment.assert_single_primary()
             elif kind == "primary_is":
                 expected = sorted(int(n) for n in step["members"])
-                actual = sorted(self.cluster.primary_members())
+                actual = sorted(deployment.primary_members())
                 if actual != expected:
                     raise AssertionError(
                         f"primary is {actual}, expected {expected}")
+            elif kind == "key" and self.target == "fabric":
+                value = deployment.sharded_database().get(step["key"])
+                if value != step["value"]:
+                    raise AssertionError(
+                        f"{step['key']!r} is {value!r}, "
+                        f"expected {step['value']!r}")
             elif kind == "key":
                 node = int(step["node"])
-                value = self.cluster.replicas[node].database.state.get(
+                value = deployment.replicas[node].database.state.get(
                     step["key"])
                 if value != step["value"]:
                     raise AssertionError(
                         f"{step['key']!r} at {node} is {value!r}, "
                         f"expected {step['value']!r}")
             elif kind == "all_primary":
-                states = self.cluster.states()
-                laggards = {n: s for n, s in states.items()
+                laggards = {n: s for n, s in deployment.states().items()
                             if s != "RegPrim"}
                 if laggards:
                     raise AssertionError(
@@ -260,242 +381,23 @@ class ScenarioRunner:
                     raise AssertionError(
                         f"only {self._completions} completions, "
                         f"expected at least {expected}")
-            else:
-                raise ScenarioError(f"unknown check kind {kind!r}")
-        except AssertionError as failure:
-            raise ScenarioError(f"check {kind!r} failed: {failure}") \
-                from failure
-        self.report.checks_passed += 1
-        self._log(f"check {kind}: ok")
-
-    def _log(self, message: str) -> None:
-        self.report.events.append(
-            f"[{self.cluster.sim.now:9.3f}] {message}")
-
-
-class ShardScenarioRunner:
-    """Executes a sharded scenario against a :class:`ShardFabric`.
-
-    Same step vocabulary as :class:`ScenarioRunner` where it applies,
-    plus routed submission (``submit``/``txn``), coordinator recovery
-    (``recover_txns``), and transaction-outcome checks (``txns``).
-    """
-
-    def __init__(self, spec: Dict[str, Any],
-                 observability: Optional[Observability] = None):
-        from ..shard import ShardFabric
-        self.spec = spec
-        self.report = ScenarioReport()
-        self.obs = observability
-        self.fabric = ShardFabric(
-            num_shards=int(spec.get("shards", 2)),
-            replicas_per_shard=int(spec.get("replicas", 3)),
-            seed=int(spec.get("seed", 0)),
-            trace=(observability is not None
-                   and observability.flight_hub is not None),
-            observability=observability)
-        self._completions = 0
-        self.outcomes: Dict[str, int] = {"commit": 0, "abort": 0}
-
-    def run(self) -> ScenarioReport:
-        self.fabric.start_all(settle=float(self.spec.get("settle", 2.0)))
-        for step in self.spec.get("steps", []):
-            self._apply(step)
-            self.report.steps_executed += 1
-        self.report.completions = self._completions
-        for shard, states in self.fabric.states().items():
-            self.report.final_states.update(states)
-        self.report.final_green_counts = {
-            shard: self.fabric.green_count(shard)
-            for shard in sorted(self.fabric.clusters)}
-        return self.report
-
-    def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
-        fabric = self.fabric
-        if op in ("submit", "txn"):
-            update = step["update"]
-            self.report.submissions += 1
-
-            def done(txn_id: str, outcome: str) -> None:
-                self._completions += 1
-                self.outcomes[outcome] = \
-                    self.outcomes.get(outcome, 0) + 1
-
-            txn_id = fabric.submit(update, done)
-            self._log(f"submit {txn_id}: {update}")
-        elif op == "run":
-            fabric.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
-            groups = [list(map(int, g)) for g in step["groups"]]
-            fabric.partition(*groups)
-            fabric.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            fabric.heal()
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "crash":
-            fabric.crash(int(step["node"]))
-            fabric.run_for(float(step.get("settle", 1.0)))
-            self._log(f"crash {step['node']}")
-        elif op == "recover":
-            fabric.recover(int(step["node"]))
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover {step['node']}")
-        elif op == "recover_txns":
-            if not fabric.coordinator.alive:
-                home = step.get("home")
-                fabric.new_coordinator(
-                    home=int(home) if home is not None else None)
-            swept = fabric.recover_transactions(
-                lambda _txn, outcome: self.outcomes.__setitem__(
-                    outcome, self.outcomes.get(outcome, 0) + 1))
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover_txns swept {swept}")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown sharded op {op!r}")
-
-    def _check(self, step: Dict[str, Any]) -> None:
-        kind = step.get("kind")
-        try:
-            if kind == "converged":
-                self.fabric.assert_converged()
-            elif kind == "key":
-                value = self.fabric.sharded_database().get(step["key"])
-                if value != step["value"]:
-                    raise AssertionError(
-                        f"{step['key']!r} is {value!r}, "
-                        f"expected {step['value']!r}")
             elif kind == "txns":
                 for outcome in ("commits", "aborts"):
                     if outcome in step:
-                        actual = self.outcomes.get(
-                            outcome.rstrip("s"), 0)
+                        actual = self.outcomes.get(outcome.rstrip("s"), 0)
                         if actual != int(step[outcome]):
                             raise AssertionError(
                                 f"{outcome}={actual}, expected "
                                 f"{step[outcome]}")
-            else:
-                raise ScenarioError(
-                    f"check kind {kind!r} not supported in sharded "
-                    f"scenarios")
         except AssertionError as failure:
             raise ScenarioError(f"check {kind!r} failed: {failure}") \
                 from failure
         self.report.checks_passed += 1
-        self._log(f"check {kind}: ok")
+        return f"check {kind}: ok"
 
     def _log(self, message: str) -> None:
         self.report.events.append(
-            f"[{self.fabric.sim.now:9.3f}] {message}")
-
-
-class LiveScenarioRunner:
-    """Replays a scenario on the asyncio runtime (:class:`LiveCluster`).
-
-    Time steps (`run`, settles) are wall-clock seconds; keep live
-    scenarios short.  Simulator-only ops raise :class:`ScenarioError`.
-    """
-
-    _UNSUPPORTED = frozenset({"crash", "recover", "join", "leave"})
-
-    def __init__(self, spec: Dict[str, Any],
-                 observability: Optional[Observability] = None):
-        self.spec = spec
-        self.report = ScenarioReport()
-        self.obs = observability
-        self._completions = 0
-
-    def run(self) -> ScenarioReport:
-        return asyncio.run(self._run())
-
-    async def _run(self) -> ScenarioReport:
-        from ..core.state_machine import EngineState
-        from ..runtime import LiveCluster
-        n = int(self.spec.get("replicas", 3))
-        self.cluster = LiveCluster(list(range(1, n + 1)),
-                                   observability=self.obs)
-        self.cluster.start_all()
-        settle = float(self.spec.get("settle", 2.0))
-        await self.cluster.wait_all_engine_state(
-            EngineState.REG_PRIM, timeout=max(10.0, settle * 5))
-        try:
-            for step in self.spec.get("steps", []):
-                await self._apply(step)
-                self.report.steps_executed += 1
-            self.report.completions = self._completions
-            self.report.final_states = self.cluster.states()
-            self.report.final_green_counts = self.cluster.green_counts()
-        finally:
-            self.cluster.shutdown()
-        return self.report
-
-    async def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
-        if op in self._UNSUPPORTED:
-            raise ScenarioError(
-                f"op {op!r} is simulator-only; not available under "
-                f"the asyncio runtime")
-        if op == "submit":
-            node = int(step["node"])
-            update = tuple(step["update"])
-            self.report.submissions += 1
-
-            def complete(_a, _p, _r):
-                self._completions += 1
-
-            self.cluster.submit(node, update, on_complete=complete)
-            self._log(f"submit at {node}: {update}")
-        elif op == "run":
-            await self.cluster.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
-            groups = [list(map(int, g)) for g in step["groups"]]
-            self.cluster.partition(*groups)
-            await self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            self.cluster.heal()
-            await self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown op {op!r}")
-
-    def _check(self, step: Dict[str, Any]) -> None:
-        kind = step.get("kind")
-        try:
-            if kind == "converged":
-                self.cluster.assert_converged()
-            elif kind == "prefix":
-                # Live clusters never truncate mid-scenario, so prefix
-                # consistency collapses to common-prefix of green orders;
-                # converged is the stronger live check.
-                self.cluster.assert_same_green_order()
-            elif kind == "key":
-                node = int(step["node"])
-                value = self.cluster.replicas[node].database.state.get(
-                    step["key"])
-                if value != step["value"]:
-                    raise AssertionError(
-                        f"{step['key']!r} at {node} is {value!r}, "
-                        f"expected {step['value']!r}")
-            else:
-                raise ScenarioError(
-                    f"check kind {kind!r} not supported under the "
-                    f"asyncio runtime")
-        except AssertionError as failure:
-            raise ScenarioError(f"check {kind!r} failed: {failure}") \
-                from failure
-        self.report.checks_passed += 1
-        self._log(f"check {kind}: ok")
-
-    def _log(self, message: str) -> None:
-        self.report.events.append(
-            f"[{self.cluster.runtime.now:9.3f}] {message}")
+            f"[{self.deployment.runtime.now:9.3f}] {message}")
 
 
 def run_scenario(spec: Dict[str, Any],
@@ -510,18 +412,9 @@ def run_scenario(spec: Dict[str, Any],
     Pass an enabled :class:`~repro.obs.Observability` to collect spans
     and histograms during the run (``repro.tools.obsreport`` does).
     """
-    chosen = runtime or spec.get("runtime", "sim")
-    if "shards" in spec:
-        if chosen != "sim":
-            raise ScenarioError(
-                "sharded scenarios are simulator-only; use "
-                "examples/live_cluster.py --shards for live runs")
-        return ShardScenarioRunner(spec, observability=observability).run()
-    if chosen == "sim":
-        return ScenarioRunner(spec, observability=observability).run()
-    if chosen == "asyncio":
-        return LiveScenarioRunner(spec, observability=observability).run()
-    raise ScenarioError(f"unknown runtime {chosen!r}")
+    if runtime is not None:
+        spec = dict(spec, runtime=runtime)
+    return ScenarioRunner(spec, observability=observability).run()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -98,6 +98,21 @@ def test_shard_composition_roots_are_exempt():
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
+def test_fabric_is_the_only_shard_composition_root(tmp_path):
+    # Both fabrics live in repro.shard.fabric; any other shard module
+    # wiring engines — a resurrected live.py included — is flagged.
+    pkg = tmp_path / "repro" / "shard"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "live.py").write_text("from ..core.replica import Replica\n")
+    (pkg / "fabric.py").write_text("from ..core.replica import Replica\n")
+    findings = [f for f in SeamEnforcer().check_paths([tmp_path])
+                if f.rule == RULE_SHARD_ISOLATION]
+    assert [Path(f.path).name for f in findings] == ["live.py"]
+    assert "repro.shard.fabric" in findings[0].message
+
+
 def test_shard_isolation_allows_sibling_imports(tmp_path):
     pkg = tmp_path / "repro" / "shard"
     pkg.mkdir(parents=True)
@@ -146,7 +161,7 @@ def test_live_flight_recorder_takes_caller_timestamps():
 
 def test_live_shard_package_is_isolated():
     # The real policy modules (router, txn, coordinator) never import
-    # the engine layers; only fabric/live do.
+    # the engine layers; only fabric does.
     src = Path(__file__).parent.parent / "src" / "repro" / "shard"
     findings = [f for f in SeamEnforcer().check_paths([src])
                 if f.rule == RULE_SHARD_ISOLATION]
