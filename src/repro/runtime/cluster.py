@@ -109,9 +109,11 @@ class LiveCluster(Cluster):
     # lifecycle
     # ==================================================================
     def shutdown(self) -> None:
-        """Tear the hosted replicas down and release transport resources
-        (sockets, reader callbacks).  Volatile state is dropped exactly
-        as on a crash; durable state remains readable for post-mortems."""
+        """Tear the hosted replicas down and release transport and
+        runtime resources (sockets, the timer wake, reader callbacks).
+        Volatile state is dropped exactly as on a crash; durable state
+        remains readable for post-mortems.  Idempotent, also when the
+        members of a fabric share one runtime and transport."""
         for replica in self.running_replicas():
             replica.crash()
         if self._metrics_server is not None:
@@ -121,6 +123,7 @@ class LiveCluster(Cluster):
         if close is not None:
             close()
         self.runtime.stop()
+        self.runtime.close()
 
     # ==================================================================
     # observability export

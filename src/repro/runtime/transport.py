@@ -260,8 +260,10 @@ class AsyncioTransport(_LiveTransport):
 
     # -- receiving ------------------------------------------------------
     def _on_readable(self, node: int, sock: socket.socket) -> None:
-        # Drain everything ready; add_reader fires once per readability
-        # edge, not once per datagram.
+        # Drain everything ready.  Not needed for correctness: asyncio
+        # selectors are level-triggered, so a datagram left queued makes
+        # the next loop iteration call back again.  Draining saves those
+        # loop iterations under bursts.
         while True:
             try:
                 blob, _addr = sock.recvfrom(65536)

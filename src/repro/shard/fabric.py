@@ -345,7 +345,7 @@ class LiveShardFabric(Fabric[LiveCluster]):
 
     def shutdown(self) -> None:
         """Tear every cluster down (closing the shared transport and
-        stopping the runtime are idempotent)."""
+        stopping and closing the shared runtime are idempotent)."""
         for cluster in self.clusters.values():
             cluster.shutdown()
 
